@@ -13,8 +13,8 @@
 //
 // With --json <path> the rows are serialized as a swlb-bench-v1
 // BenchReport (backend_<name> results) — the writer behind the
-// BENCH_backends.json seed and the CI smoke that checks the thread-team
-// backend beats single-thread fused whenever the host has >1 core
+// BENCH_backends.json seed and the CI smoke that checks fused at one lane
+// per core beats single-thread fused whenever the host has >1 core
 // (host_cores is in every row so the gate is recorded with the data).
 #include <algorithm>
 #include <cstring>
@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
                                1),
               perf::Table::num(r.memRatio, 2)});
   t.print();
-  std::cout << "threads-vs-fused@1 is the thread-team speedup (expect >1 "
+  std::cout << "fused-vs-fused@1 is the host-thread speedup (expect >1 "
                "only on multi-core hosts); swcpe is the CPE emulator, not "
                "a Sunway projection.\n";
 

@@ -35,10 +35,6 @@ const std::vector<BackendInfo>& backend_catalog() {
        BackendCaps{.inPlaceStreaming = true, .supportsOutflow = false,
                    .usesHostThreads = true},
        BackendCostHints{.memoryFactor = 0.5}},
-      {"threads",
-       "persistent host thread team over z-slabs (OpenMP when available)",
-       BackendCaps{.usesHostThreads = true},
-       BackendCostHints{.stepOverheadSeconds = 2e-5}},
       {"swcpe",
        "SW26010 CPE-cluster emulator: 64-CPE y-partition, LDM-blocked DMA",
        BackendCaps{.subRange = false},
@@ -53,21 +49,6 @@ const BackendInfo* find_backend_info(const std::string& name) {
   for (const BackendInfo& b : backend_catalog())
     if (b.name == name) return &b;
   return nullptr;
-}
-
-KernelVariant kernel_variant_from_name(const std::string& name) {
-  for (KernelVariant v :
-       {KernelVariant::Fused, KernelVariant::Generic, KernelVariant::TwoStep,
-        KernelVariant::Push, KernelVariant::Simd, KernelVariant::Esoteric,
-        KernelVariant::Threads, KernelVariant::SwCpe})
-    if (name == kernel_variant_name(v)) return v;
-  std::string known;
-  for (const BackendInfo& b : backend_catalog()) {
-    if (!known.empty()) known += ", ";
-    known += b.name;
-  }
-  throw Error("unknown kernel backend '" + name + "' (registered: " + known +
-              ")");
 }
 
 }  // namespace swlb

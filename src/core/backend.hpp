@@ -3,8 +3,8 @@
 // DistributedSolver and PatchSolver dispatch through a registry instead
 // of per-variant switch statements — the miniLB-style portability layer
 // (PAPERS.md, arXiv:2409.16781).  A backend owns *how* one fused LBM
-// update executes (serial sweep, SIMD runs, a host thread team, the SW
-// CPE emulator, in-place Esoteric-Pull); the solvers own *when*: halo
+// update executes (fused sweep, SIMD runs, the SW CPE emulator, in-place
+// Esoteric-Pull); the solvers own *when*: halo
 // wraps, exchanges, parity, observables.
 //
 // Contract summary (details on each hook below):
@@ -21,10 +21,11 @@
 //     HaloExchange order (q outer, then z, y, x) — the bytes ghost
 //     messages and patch strips carry.  Backends with exotic layouts
 //     override them; the defaults copy PopulationFieldT::raw verbatim.
-//   * All hooks are called from the solver's step thread.  A backend may
-//     spawn or pool its own workers inside step() (caps.usesHostThreads
-//     backends honor the `threads` argument), but must return only after
-//     `dst` is fully written — hooks never overlap each other.
+//   * All hooks are called from the solver's step thread.  Backends with
+//     caps.usesHostThreads honor the `threads` argument by running their
+//     serial kernel over z-slabs on their own TeamPool (run_slabs in
+//     core/kernels_team.hpp, the one host-thread executor); every hook
+//     returns only after `dst` is fully written — hooks never overlap.
 //
 // Units: cost hints are seconds and dimensionless ratios; `threads` is a
 // host-thread count where <= 0 means "one per hardware core".
@@ -39,39 +40,6 @@
 #include "core/kernels.hpp"
 
 namespace swlb {
-
-/// Which stream/collide implementation a solver drives each step.  Every
-/// enumerator is also a registered backend under kernel_variant_name();
-/// the enum survives as the cheap config-struct spelling of that name.
-enum class KernelVariant {
-  Fused,     ///< production path: optimized SoA fused pull kernel
-  Generic,   ///< portable fused pull kernel (reference implementation)
-  TwoStep,   ///< separate stream + collide (fusion ablation baseline)
-  Push,      ///< fused collide + push streaming (layout ablation baseline)
-  Simd,      ///< vectorized bulk-run fused kernel (bit-identical to Fused)
-  Esoteric,  ///< in-place single-buffer streaming (0.5x population memory)
-  Threads,   ///< persistent host thread team over z-slabs (OpenMP or pool)
-  SwCpe,     ///< SW26010 CPE-cluster emulator (LDM-blocked, bit-identical)
-};
-
-inline const char* kernel_variant_name(KernelVariant v) {
-  switch (v) {
-    case KernelVariant::Fused: return "fused";
-    case KernelVariant::Generic: return "generic";
-    case KernelVariant::TwoStep: return "twostep";
-    case KernelVariant::Push: return "push";
-    case KernelVariant::Simd: return "simd";
-    case KernelVariant::Esoteric: return "esoteric";
-    case KernelVariant::Threads: return "threads";
-    case KernelVariant::SwCpe: return "swcpe";
-  }
-  return "?";
-}
-
-/// Inverse of kernel_variant_name.  Throws on names that are not
-/// registered backends — the explicit-rejection path that replaced the
-/// old silent switch-default fallbacks.
-KernelVariant kernel_variant_from_name(const std::string& name);
 
 /// What a backend can and cannot do.  Solvers check these flags up front
 /// and reject unsupported combinations with a named error — never fall
@@ -116,9 +84,9 @@ struct BackendCostHints {
   /// host (dimensionless; 1.0 = parity).  Advisory only — measured
   /// trial MLUPS always override it.
   double relativeRate = 1.0;
-  /// Fixed cost per step() invocation in seconds (thread fork/join
-  /// barriers, emulator dispatch).  Dominates on small patches, which is
-  /// why the tuner's per-patch map keeps them on serial backends.
+  /// Fixed cost per step() invocation in seconds (emulator dispatch).
+  /// Dominates on small patches, which is why the tuner's per-patch map
+  /// keeps them off such backends.
   double stepOverheadSeconds = 0.0;
   /// Population-storage bytes relative to the two-lattice A-B pair
   /// (esoteric: 0.5).

@@ -14,10 +14,6 @@
 #include "core/kernels_team.hpp"
 #include "sw/backend_cpe.hpp"
 
-#ifdef SWLB_OPENMP
-#include <omp.h>
-#endif
-
 namespace swlb {
 
 namespace detail {
@@ -37,14 +33,21 @@ class TwoLatticeBackend : public KernelBackend<D, S> {
 
 }  // namespace detail
 
+/// The production path: the fused pull kernel over z-slabs on the
+/// backend's own TeamPool (`threads <= 0` = one lane per core, the
+/// CPE-cluster role on commodity hosts).
 template <class D, class S>
 class FusedBackend final : public detail::TwoLatticeBackend<D, S> {
  public:
   FusedBackend() : detail::TwoLatticeBackend<D, S>("fused") {}
   void step(const BackendStepArgs<D, S>& a) override {
-    stream_collide_fused_mt<D>(*a.src, *a.dst, *a.mask, *a.mats, *a.cfg,
-                               a.range, a.threads);
+    run_slabs(pool_, a.range, a.threads, [&](const Box3& slab) {
+      stream_collide_fused<D>(*a.src, *a.dst, *a.mask, *a.mats, *a.cfg, slab);
+    });
   }
+
+ private:
+  TeamPool pool_;
 };
 
 template <class D, class S>
@@ -82,9 +85,13 @@ class SimdBackend final : public detail::TwoLatticeBackend<D, S> {
  public:
   SimdBackend() : detail::TwoLatticeBackend<D, S>("simd") {}
   void step(const BackendStepArgs<D, S>& a) override {
-    stream_collide_simd_mt<D>(*a.src, *a.dst, *a.mask, *a.mats, *a.cfg,
-                              a.range, a.threads);
+    run_slabs(pool_, a.range, a.threads, [&](const Box3& slab) {
+      stream_collide_simd<D>(*a.src, *a.dst, *a.mask, *a.mats, *a.cfg, slab);
+    });
   }
+
+ private:
+  TeamPool pool_;
 };
 
 /// In-place Esoteric-Pull backend: implements the even/odd phase pair,
@@ -102,53 +109,20 @@ class EsotericBackend final : public detail::TwoLatticeBackend<D, S> {
   void stepInPlaceEven(Field& f, const MaskField& mask,
                        const MaterialTable& mats, const CollisionConfig& cfg,
                        const Box3& range, int threads) override {
-    stream_collide_esoteric_even_mt<D>(f, mask, mats, cfg, range, threads);
+    run_slabs(pool_, range, threads, [&](const Box3& slab) {
+      stream_collide_esoteric_even<D>(f, mask, mats, cfg, slab);
+    });
   }
   void stepInPlaceOdd(Field& f, const MaskField& mask,
                       const MaterialTable& mats, const CollisionConfig& cfg,
                       const Box3& range, int threads) override {
-    stream_collide_esoteric_odd_mt<D>(f, mask, mats, cfg, range, threads);
-  }
-};
-
-/// Host thread-team backend: the fused kernel over the canonical z-slab
-/// split, executed by a persistent team (OpenMP when the build has it,
-/// the TeamPool fallback otherwise) instead of per-step thread spawns.
-/// `threads <= 0` selects one lane per hardware core — the knob that
-/// lets a single rank use the whole host (the CPE-cluster role on
-/// commodity machines).
-template <class D, class S>
-class ThreadTeamBackend final : public detail::TwoLatticeBackend<D, S> {
- public:
-  ThreadTeamBackend() : detail::TwoLatticeBackend<D, S>("threads") {}
-  void step(const BackendStepArgs<D, S>& a) override {
-    const int nz = a.range.hi.z - a.range.lo.z;
-    const int n = std::max(1, std::min(resolve_host_threads(a.threads), nz));
-    if (n <= 1) {
-      stream_collide_fused<D>(*a.src, *a.dst, *a.mask, *a.mats, *a.cfg,
-                              a.range);
-      return;
-    }
-#ifdef SWLB_OPENMP
-#pragma omp parallel num_threads(n)
-    {
-      const int t = omp_get_thread_num();
-      if (t < n)
-        stream_collide_fused<D>(*a.src, *a.dst, *a.mask, *a.mats, *a.cfg,
-                                team_slab(a.range, t, n));
-    }
-#else
-    pool_.parallelFor(n, [&](int t) {
-      stream_collide_fused<D>(*a.src, *a.dst, *a.mask, *a.mats, *a.cfg,
-                              team_slab(a.range, t, n));
+    run_slabs(pool_, range, threads, [&](const Box3& slab) {
+      stream_collide_esoteric_odd<D>(f, mask, mats, cfg, slab);
     });
-#endif
   }
 
  private:
-#ifndef SWLB_OPENMP
   TeamPool pool_;
-#endif
 };
 
 /// Factory registry for one (lattice, storage) instantiation.  Built-ins
@@ -200,8 +174,6 @@ class BackendRegistry {
     add("push", [] { return std::make_unique<PushBackend<D, S>>(); });
     add("simd", [] { return std::make_unique<SimdBackend<D, S>>(); });
     add("esoteric", [] { return std::make_unique<EsotericBackend<D, S>>(); });
-    add("threads",
-        [] { return std::make_unique<ThreadTeamBackend<D, S>>(); });
     // The CPE kernel is explicitly instantiated for D3Q19/D2Q9 only
     // (sw/sw_kernels.cpp); other lattices must get the not-registered
     // error above, not a link error.

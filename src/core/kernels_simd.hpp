@@ -22,7 +22,7 @@
 // pragma would trip -Wunknown-pragmas under -Werror, so it is gated.  The
 // macro precedes the include below so it exists whichever of the three
 // kernel headers is included first.
-#if defined(SWLB_OPENMP_SIMD)
+#if defined(SWLB_HAS_OMP_SIMD)
 #define SWLB_PRAGMA_SIMD _Pragma("omp simd")
 #else
 #define SWLB_PRAGMA_SIMD
@@ -117,35 +117,6 @@ void stream_collide_simd(const PopulationFieldT<S>& src,
         x = xe;
       }
     }
-}
-
-/// Multithreaded SIMD kernel: disjoint z-slabs, one per host thread, same
-/// split as stream_collide_fused_mt (bit-identical for any thread count).
-template <class D, class S>
-void stream_collide_simd_mt(const PopulationFieldT<S>& src,
-                            PopulationFieldT<S>& dst, const MaskField& mask,
-                            const MaterialTable& mats,
-                            const CollisionConfig& cfg, const Box3& range,
-                            int nThreads) {
-  const int nz = range.hi.z - range.lo.z;
-  if (nThreads <= 1 || nz <= 1) {
-    stream_collide_simd<D>(src, dst, mask, mats, cfg, range);
-    return;
-  }
-  nThreads = std::min(nThreads, nz);
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(nThreads));
-  for (int t = 0; t < nThreads; ++t) {
-    Box3 slab = range;
-    slab.lo.z =
-        range.lo.z + static_cast<int>(static_cast<long long>(nz) * t / nThreads);
-    slab.hi.z = range.lo.z +
-                static_cast<int>(static_cast<long long>(nz) * (t + 1) / nThreads);
-    workers.emplace_back([&, slab] {
-      stream_collide_simd<D>(src, dst, mask, mats, cfg, slab);
-    });
-  }
-  for (auto& w : workers) w.join();
 }
 
 }  // namespace swlb

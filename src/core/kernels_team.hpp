@@ -1,24 +1,18 @@
-// Persistent host-thread team for the "threads" backend (DESIGN.md §14).
+// The one host-thread executor (DESIGN.md §14): every backend that runs
+// more than one host thread (fused, simd, esoteric) calls its serial
+// kernel through run_slabs(), which splits the update range into z-slabs
+// and runs them on a persistent TeamPool.
 //
-// The existing _mt kernel drivers spawn-and-join std::threads on every
-// step — correct (z-slab writes are disjoint, bit-identical for any
-// thread count) but the fork cost is paid per step.  The thread-team
-// backend keeps the workers alive instead:
-//
-//   * with OpenMP (SWLB_OPENMP, set by CMake when the toolchain has it
-//     and no sanitizer is active — libgomp's barriers are opaque to
-//     TSan), one `#pragma omp parallel` region per step reuses libgomp's
-//     persistent team;
-//   * otherwise TeamPool below parks std::threads on a condition
-//     variable and wakes them per step — same slab split, same results,
-//     and clean under every sanitizer.
-//
-// Both paths run stream_collide_fused over the identical z-slab
-// partition as stream_collide_fused_mt, so the backend inherits its
-// bit-identity claim (tests/kernel_conformance.hpp enforces it at 1, 2
-// and hardware_concurrency threads).
+// The z-slab split is the intra-rank analogue of the paper's 64-CPE
+// partition: each lane writes a disjoint set of cells, so any lane count
+// is bit-identical to the serial kernel (tests/kernel_conformance.hpp
+// enforces it at 1, 2 and hardware_concurrency lanes).  TeamPool parks
+// its workers on a condition variable between steps instead of spawning
+// threads per step; all shared state is mutex-protected, so the shipped
+// executor is the one the sanitizer builds check.
 #pragma once
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -26,14 +20,11 @@
 #include <thread>
 #include <vector>
 
-#include "core/kernels.hpp"
+#include "core/common.hpp"
 
 namespace swlb {
 
-/// The canonical z-slab of thread `t` out of `n` over `range` — the same
-/// split stream_collide_fused_mt uses, factored out so every threaded
-/// driver partitions identically (a prerequisite for bit-identity claims
-/// that quote "the MT segmentation").
+/// The canonical z-slab of lane `t` out of `n` over `range`.
 inline Box3 team_slab(const Box3& range, int t, int n) {
   const long long nz = range.hi.z - range.lo.z;
   Box3 slab = range;
@@ -125,5 +116,20 @@ class TeamPool {
   int pending_ = 0;
   bool stop_ = false;
 };
+
+/// Run `fn(slab)` over the z-slabs of `range` on `pool`: `threads` is
+/// resolved (<= 0 = one lane per core) and clamped to the z extent.
+/// One lane calls `fn(range)` on the calling thread and never starts a
+/// pool worker.
+template <class Fn>
+void run_slabs(TeamPool& pool, const Box3& range, int threads, Fn&& fn) {
+  const int nz = range.hi.z - range.lo.z;
+  const int n = std::max(1, std::min(resolve_host_threads(threads), nz));
+  if (n == 1) {
+    fn(range);
+    return;
+  }
+  pool.parallelFor(n, [&](int t) { fn(team_slab(range, t, n)); });
+}
 
 }  // namespace swlb

@@ -17,9 +17,6 @@
 
 namespace swlb {
 
-// KernelVariant (the enum spelling of backend names) lives in
-// core/backend.hpp together with the backend concept and registry.
-
 /// `S` selects the population *storage* precision (double / float / f16);
 /// all collision arithmetic stays in Real.  Defaults to lossless double.
 template <class D, class S = Real>
@@ -69,16 +66,11 @@ class Solver {
       }
     }
     backend_ = std::move(next);
-    variant_ = kernel_variant_from_name(name);
     if (maskFinal_) backend_->init(grid_, mask_, mats_);
     obs::gaugeSet("solver.population_bytes",
                   static_cast<double>(populationBytes()));
   }
 
-  /// Enum spelling of setBackend (kept for config structs and call sites
-  /// that predate the registry).
-  void setVariant(KernelVariant v) { setBackend(kernel_variant_name(v)); }
-  KernelVariant variant() const { return variant_; }
   const KernelBackend<D, S>& backend() const { return *backend_; }
   const std::string& backendName() const { return backend_->info().name; }
 
@@ -294,7 +286,6 @@ class Solver {
   MaskField mask_;
   MaterialTable mats_;
   std::unique_ptr<KernelBackend<D, S>> backend_;
-  KernelVariant variant_ = KernelVariant::Fused;
   int hostThreads_ = 1;
   int parity_ = 0;
   std::uint64_t steps_ = 0;

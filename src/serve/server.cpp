@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "app/cases.hpp"
 #include "io/checkpoint.hpp"
@@ -219,12 +220,18 @@ void Server::dispatch(Session& s, const std::string& line) {
 void Server::handleSubmit(Session& s, const WireMap& req) {
   JobSpec spec;
   spec.tenant = wire_string(req, "tenant", "default");
-  spec.priority = std::clamp(
-      static_cast<int>(wire_number(req, "priority", 1)), 1,
-      JobSpec::kMaxPriority);
+  // Clamp as a double before the cast: an out-of-range double-to-int
+  // conversion is undefined.
+  const double priority = wire_number(req, "priority", 1);
+  if (std::isnan(priority)) throw Error("submit: 'priority' is NaN");
+  spec.priority = static_cast<int>(
+      std::clamp(priority, 1.0, static_cast<double>(JobSpec::kMaxPriority)));
+  // 2^53: above it a double no longer holds every integer exactly.
+  constexpr double kMaxSteps = static_cast<double>(
+      std::uint64_t{1} << std::numeric_limits<double>::digits);
   const double steps = wire_number(req, "steps");
-  if (!(steps >= 1) || steps != std::floor(steps))
-    throw Error("submit: 'steps' must be a positive integer");
+  if (!(steps >= 1 && steps <= kMaxSteps) || steps != std::floor(steps))
+    throw Error("submit: 'steps' must be an integer in [1, 2^53]");
   spec.steps = static_cast<std::uint64_t>(steps);
   for (const auto& [k, v] : req)
     if (k.rfind("cfg.", 0) == 0) spec.config.set(k.substr(4), v.asText());

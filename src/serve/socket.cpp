@@ -29,15 +29,21 @@ sockaddr_un make_addr(const std::string& path) {
 
 // ---- LineStream --------------------------------------------------------
 
-LineStream::~LineStream() { close(); }
+LineStream::~LineStream() {
+  if (fd_ >= 0) ::close(fd_);
+}
 
 std::optional<std::string> LineStream::readLine() {
   for (;;) {
     const auto nl = buf_.find('\n');
-    if (nl != std::string::npos) {
+    if (nl <= kMaxLineBytes) {
       std::string line = buf_.substr(0, nl);
       buf_.erase(0, nl + 1);
       return line;
+    }
+    if (buf_.size() > kMaxLineBytes) {  // over-long line: give up on it
+      buf_.clear();
+      return std::nullopt;
     }
     if (fd_ < 0) return std::nullopt;
     char chunk[4096];
@@ -57,7 +63,10 @@ bool LineStream::writeLine(const std::string& line) {
   out.push_back('\n');
   std::size_t off = 0;
   while (off < out.size()) {
-    const ssize_t n = ::write(fd_, out.data() + off, out.size() - off);
+    // MSG_NOSIGNAL: a gone peer or a close()d stream fails with EPIPE
+    // instead of raising SIGPIPE.
+    const ssize_t n =
+        ::send(fd_, out.data() + off, out.size() - off, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -68,11 +77,10 @@ bool LineStream::writeLine(const std::string& line) {
 }
 
 void LineStream::close() {
-  if (fd_ >= 0) {
-    ::shutdown(fd_, SHUT_RDWR);
-    ::close(fd_);
-    fd_ = -1;
-  }
+  // Only shut down: the reader and writer threads may still be inside
+  // read()/send() on fd_, so the descriptor is released by the
+  // destructor, after both are done with it.
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
 // ---- UnixListener ------------------------------------------------------
@@ -97,15 +105,14 @@ UnixListener::UnixListener(const std::string& path) : path_(path), fd_(-1) {
 }
 
 UnixListener::~UnixListener() {
-  close();
+  ::close(fd_);
   ::unlink(path_.c_str());
 }
 
 std::optional<int> UnixListener::accept() {
   for (;;) {
-    const int fd = fd_;
-    if (fd < 0) return std::nullopt;
-    const int c = ::accept(fd, nullptr, nullptr);
+    if (closed_) return std::nullopt;
+    const int c = ::accept(fd_, nullptr, nullptr);
     if (c >= 0) return c;
     if (errno == EINTR) continue;
     return std::nullopt;  // listener closed under us
@@ -113,12 +120,9 @@ std::optional<int> UnixListener::accept() {
 }
 
 void UnixListener::close() {
-  if (fd_ >= 0) {
-    // shutdown() wakes a blocked accept() portably on Linux.
-    ::shutdown(fd_, SHUT_RDWR);
-    ::close(fd_);
-    fd_ = -1;
-  }
+  // shutdown() wakes a blocked accept() on Linux; the descriptor itself
+  // is released by the destructor, once no thread can be inside accept().
+  if (!closed_.exchange(true)) ::shutdown(fd_, SHUT_RDWR);
 }
 
 int connect_unix(const std::string& path) {

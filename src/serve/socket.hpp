@@ -7,6 +7,8 @@
 // tests and bench drive Sessions directly and skip the socket.
 #pragma once
 
+#include <atomic>
+#include <cstddef>
 #include <optional>
 #include <string>
 
@@ -24,20 +26,26 @@ class LineStream {
   LineStream(const LineStream&) = delete;
   LineStream& operator=(const LineStream&) = delete;
 
+  /// Longest accepted line, terminator excluded: far above any valid
+  /// request, and the bound on what one client can make the reader buffer.
+  static constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
   /// Next '\n'-terminated line (terminator stripped); std::nullopt at
-  /// EOF or on a read error.
+  /// EOF, on a read error, or once a line exceeds kMaxLineBytes (the
+  /// caller then drops the connection).
   std::optional<std::string> readLine();
 
   /// Write one line + '\n'; false once the peer is gone.
   bool writeLine(const std::string& line);
 
-  /// Shut the socket down (wakes a blocked readLine); idempotent.
+  /// Shut the socket down (wakes a blocked readLine and fails later
+  /// writes); idempotent.  The fd is closed by the destructor.
   void close();
 
   int fd() const { return fd_; }
 
  private:
-  int fd_;
+  const int fd_;
   std::string buf_;
 };
 
@@ -54,7 +62,8 @@ class UnixListener {
   /// Block for the next connection; std::nullopt once close()d.
   std::optional<int> accept();
 
-  /// Stop accepting (wakes a blocked accept); idempotent.
+  /// Stop accepting (wakes a blocked accept); idempotent.  The fd is
+  /// closed by the destructor.
   void close();
 
   const std::string& path() const { return path_; }
@@ -62,6 +71,7 @@ class UnixListener {
  private:
   std::string path_;
   int fd_;
+  std::atomic<bool> closed_{false};
 };
 
 /// Connect to a serve daemon's socket; throws Error on failure.  The

@@ -332,9 +332,6 @@ std::string TuningKey::toString() const {
 std::string to_json(const TuningPlan& plan) {
   // Keys in lexicographic order, matching the map-backed sections, so the
   // whole document is byte-stable for identical contents.
-  // "kernel_variant" repeats the backend value: binaries from before the
-  // backend layer tolerant-read that key, so a new cache file still
-  // applies there (and new readers prefer "backend").
   std::ostringstream os;
   os << "{\"advised_quant_error\": " << numStr(plan.advisedQuantError)
      << ", \"backend\": \"" << escape(plan.backend)
@@ -346,7 +343,6 @@ std::string to_json(const TuningPlan& plan) {
     os << '"' << escape(k) << "\": " << numStr(v);
   }
   os << "}, \"halo_mode\": \"" << halo_mode_name(plan.haloMode)
-     << "\", \"kernel_variant\": \"" << escape(plan.backend)
      << "\", \"patch_backends\": {";
   first = true;
   for (const auto& [id, name] : plan.patchBackends) {

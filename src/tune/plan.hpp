@@ -51,7 +51,7 @@ struct TuningPlan {
   /// <= sw::max_chunk_x for the target block).
   int chunkX = 32;
   /// Stream/collide backend for Solver/DistributedSolver (registry name,
-  /// core/backend.hpp: "fused" | "simd" | "esoteric" | "threads" | ...).
+  /// core/backend.hpp: "fused" | "simd" | "esoteric" | ...).
   /// "fused" unless wall-clock backend trials (TunerConfig::
   /// backendTrialSteps > 0) found a faster one.  Serialized as "backend";
   /// cache files from before the backend layer carry the same value

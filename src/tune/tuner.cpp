@@ -146,10 +146,6 @@ double backendTrial(const std::string& name, const Int3& extent, int steps) {
   Solver<D, S> solver(g, CollisionConfig{}, Periodicity{true, true, true});
   solver.collision().omega = 1.5;
   solver.setBackend(name);
-  // The thread-team backend exists to use the whole host; trial it that
-  // way (<= 0 resolves to one lane per hardware core).  Other backends
-  // keep the serial default so the ladder compares single-thread rates.
-  if (name == "threads") solver.setHostThreads(0);
   solver.finalizeMask();
   solver.initUniform(1.0, {0.02, 0, 0});
   solver.run(2);  // warm-up
@@ -378,15 +374,16 @@ TuningPlan Tuner::plan(const TuningInput& in) const {
   }
 
   // ---- host backend: wall-clock trial ladder ---------------------------
-  // The registered host ladder (fused, simd, esoteric, threads) on a
-  // single-rank proxy block.  The pick is MLUPS-argmax with ties (within
-  // 1%) kept on "fused"; without trials the default "fused" stands,
-  // keeping plan() deterministic.
+  // The registered host ladder (fused, simd, esoteric) on a single-rank
+  // proxy block at one host thread, the setting callers apply the pick
+  // at.  The pick is MLUPS-argmax with ties (within 1%) kept on "fused";
+  // without trials the default "fused" stands, keeping plan()
+  // deterministic.
   std::map<std::string, double> backendMlups;
   if (cfg_.backendTrialSteps > 0) {
     Int3 proxy = proxyExtent(in.extent, 1, cfg_.trialCellsPerRank);
     if (in.lattice == "D2Q9") proxy.z = 1;
-    const char* ladder[] = {"fused", "simd", "esoteric", "threads"};
+    const char* ladder[] = {"fused", "simd", "esoteric"};
     double fusedMlups = 0, pickMlups = 0;
     for (const char* name : ladder) {
       const double mlups =
@@ -410,10 +407,9 @@ TuningPlan Tuner::plan(const TuningInput& in) const {
   // patch's step seconds per candidate as cells / (rate * 1e6) + the
   // catalog's fixed per-step overhead, and record the argmin.  Candidates
   // are the two-lattice backends the patch runtime accepts (in-place
-  // backends are rejected there); small patches land on serial backends
-  // because the thread team's fork/join overhead dominates them.
+  // backends are rejected there).
   if (!in.patchCells.empty() && !backendMlups.empty()) {
-    const char* candidates[] = {"fused", "simd", "threads"};
+    const char* candidates[] = {"fused", "simd"};
     for (std::size_t pid = 0; pid < in.patchCells.size(); ++pid) {
       std::string bestName = "fused";
       double bestS = 0;
@@ -464,14 +460,6 @@ void apply(const TuningPlan& plan, runtime::HaloMode& mode) {
   obs::count("tune.plan.applied");
   obs::gaugeSet("tune.halo_overlap",
                 plan.haloMode == runtime::HaloMode::Overlap ? 1 : 0);
-}
-
-void apply(const TuningPlan& plan, KernelVariant& variant) {
-  // Uncatalogued names (newer plan files) keep the caller's current value.
-  if (find_backend_info(plan.backend))
-    variant = kernel_variant_from_name(plan.backend);
-  obs::count("tune.plan.applied");
-  obs::gaugeSet("tune.backend", backendGaugeValue(plan.backend));
 }
 
 void apply(const TuningPlan& plan, std::string& backend) {

@@ -69,7 +69,7 @@ struct TunerConfig {
   /// shrunk proxy domain instead of the full one.
   std::size_t trialCellsPerRank = 32768;
   /// Steps per wall-clock backend trial (the registry ladder — fused,
-  /// simd, esoteric, threads — on a single-rank proxy).  0 (default)
+  /// simd, esoteric — on a single-rank proxy).  0 (default)
   /// skips the ladder and keeps the plan's "fused" default — and the
   /// search byte-deterministic.
   int backendTrialSteps = 0;
@@ -111,13 +111,10 @@ class Tuner {
 
 /// DistributedSolver: halo scheduling (write into Config::mode).
 void apply(const TuningPlan& plan, runtime::HaloMode& mode);
-/// Solver/DistributedSolver: stream/collide backend by enum.  Names that
-/// are not catalogued (newer plan files) keep the current value (forward
-/// compatibility).
-void apply(const TuningPlan& plan, KernelVariant& variant);
-/// Same knob by registry name (Solver::setBackend / Config::backend /
-/// PatchSolver::Config::backend).  Uncatalogued names keep the current
-/// value.
+/// Stream/collide backend by registry name (Solver::setBackend /
+/// DistributedSolver::Config::backend / PatchSolver::Config::backend).
+/// Names that are not catalogued (newer plan files) keep the current
+/// value (forward compatibility).
 void apply(const TuningPlan& plan, std::string& backend);
 /// PatchSolver: the per-patch backend map (Config::patchBackends).
 /// Entries whose backend name is not catalogued are dropped; catalogued

@@ -156,7 +156,7 @@ TEST(DistributedPeriodic, FullyPeriodicMatchesReference) {
 // inner/shell split), esoteric through the forward+reverse halo exchange
 // pair.  An even step count returns the esoteric field to natural layout
 // before the gather.
-TEST(DistributedKernelVariants, FourRankBitIdentityToFusedReference) {
+TEST(DistributedBackends, FourRankBitIdentityToFusedReference) {
   const Int3 global{12, 12, 4};
   const int steps = 10;
   CollisionConfig col;
@@ -177,14 +177,14 @@ TEST(DistributedKernelVariants, FourRankBitIdentityToFusedReference) {
   ref.run(steps);
 
   struct Case {
-    KernelVariant variant;
+    const char* backend;
     HaloMode mode;
   };
-  const Case cases[] = {{KernelVariant::Simd, HaloMode::Sequential},
-                        {KernelVariant::Simd, HaloMode::Overlap},
-                        {KernelVariant::Esoteric, HaloMode::Sequential}};
+  const Case cases[] = {{"simd", HaloMode::Sequential},
+                        {"simd", HaloMode::Overlap},
+                        {"esoteric", HaloMode::Sequential}};
   for (const Case& tc : cases) {
-    SCOPED_TRACE(std::string(kernel_variant_name(tc.variant)) + "/" +
+    SCOPED_TRACE(std::string(tc.backend) + "/" +
                  (tc.mode == HaloMode::Overlap ? "overlap" : "sequential"));
     World world(4);
     world.run([&](Comm& c) {
@@ -193,7 +193,7 @@ TEST(DistributedKernelVariants, FourRankBitIdentityToFusedReference) {
       cfg.collision = col;
       cfg.periodic = per;
       cfg.mode = tc.mode;
-      cfg.variant = tc.variant;
+      cfg.backend = tc.backend;
       cfg.procGrid = {2, 2, 1};
       DistributedSolver<D3Q19> solver(c, cfg);
       solver.finalizeMask();
@@ -378,9 +378,8 @@ TEST(DistributedSolverApi, RejectsMismatchedProcessGrid) {
 
 TEST(DistributedSolverApi, RejectsNonDistributedBackends) {
   // twostep and push advertise caps.distributed = false (their streaming
-  // traffic isn't compatible with the one-layer halo contract).  The old
-  // KernelVariant switch silently fell back to fused here; the backend
-  // layer must refuse instead.
+  // traffic isn't compatible with the one-layer halo contract); the
+  // backend layer must refuse them, not fall back to fused.
   for (const char* name : {"twostep", "push"}) {
     SCOPED_TRACE(name);
     World world(2);
@@ -411,8 +410,8 @@ TEST(DistributedSolverApi, SubRangeLessBackendForcesSequentialHalo) {
   });
 }
 
-TEST(DistributedKernelVariants, ThreadsBackendMatchesFusedAcrossRanks) {
-  // Mixed parallelism: 2 ranks x thread-team backend inside each rank
+TEST(DistributedBackends, MultiThreadFusedMatchesFusedAcrossRanks) {
+  // Mixed parallelism: 2 ranks x a 2-lane fused team inside each rank
   // must still reproduce the single-block fused trajectory bit-for-bit.
   const Int3 global{10, 8, 4};
   const int steps = 6;
@@ -437,7 +436,7 @@ TEST(DistributedKernelVariants, ThreadsBackendMatchesFusedAcrossRanks) {
     cfg.global = global;
     cfg.collision = col;
     cfg.periodic = per;
-    cfg.backend = "threads";
+    cfg.backend = "fused";
     cfg.hostThreads = 2;
     cfg.procGrid = {2, 1, 1};
     DistributedSolver<D3Q19> solver(c, cfg);

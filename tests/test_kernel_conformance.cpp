@@ -95,28 +95,26 @@ constexpr int kSteps = 6;  // even: Esoteric ends in natural layout
 // physics, but not a step-synchronous trajectory.  It is covered by the
 // invariant tests below instead (test_kernels.cpp likewise checks it via
 // conservation only).
-const KernelVariant kTwoLattice[] = {KernelVariant::Generic,
-                                     KernelVariant::Simd,
-                                     KernelVariant::TwoStep};
+const char* const kTwoLattice[] = {"generic", "simd", "twostep"};
 
 // ---- f64 bit-identity: every variant, every scenario, both lattices ----
 
 TEST(KernelConformance, BitIdentityF64_D3Q19) {
   for (const Scenario& sc : scenarios(false)) {
-    for (KernelVariant v : kTwoLattice)
+    for (const char* v : kTwoLattice)
       runLockstep<D3Q19, double, double>(sc, v, kSteps, 0);
     if (!sc.hasOutflow)
-      runLockstep<D3Q19, double, double>(sc, KernelVariant::Esoteric, kSteps,
+      runLockstep<D3Q19, double, double>(sc, "esoteric", kSteps,
                                          0);
   }
 }
 
 TEST(KernelConformance, BitIdentityF64_D2Q9) {
   for (const Scenario& sc : scenarios(true)) {
-    for (KernelVariant v : kTwoLattice)
+    for (const char* v : kTwoLattice)
       runLockstep<D2Q9, double, double>(sc, v, kSteps, 0);
     if (!sc.hasOutflow)
-      runLockstep<D2Q9, double, double>(sc, KernelVariant::Esoteric, kSteps,
+      runLockstep<D2Q9, double, double>(sc, "esoteric", kSteps,
                                         0);
   }
 }
@@ -127,18 +125,18 @@ TEST(KernelConformance, BitIdentityF64_D2Q9) {
 
 TEST(KernelConformance, BitIdentitySameStorageF32) {
   for (const Scenario& sc : scenarios(false)) {
-    runLockstep<D3Q19, float, float>(sc, KernelVariant::Generic, kSteps, 0);
-    runLockstep<D3Q19, float, float>(sc, KernelVariant::Simd, kSteps, 0);
+    runLockstep<D3Q19, float, float>(sc, "generic", kSteps, 0);
+    runLockstep<D3Q19, float, float>(sc, "simd", kSteps, 0);
     if (!sc.hasOutflow)
-      runLockstep<D3Q19, float, float>(sc, KernelVariant::Esoteric, kSteps, 0);
+      runLockstep<D3Q19, float, float>(sc, "esoteric", kSteps, 0);
   }
 }
 
 TEST(KernelConformance, BitIdentitySameStorageF16) {
   for (const Scenario& sc : scenarios(false)) {
-    runLockstep<D3Q19, f16, f16>(sc, KernelVariant::Simd, kSteps, 0);
+    runLockstep<D3Q19, f16, f16>(sc, "simd", kSteps, 0);
     if (!sc.hasOutflow)
-      runLockstep<D3Q19, f16, f16>(sc, KernelVariant::Esoteric, kSteps, 0);
+      runLockstep<D3Q19, f16, f16>(sc, "esoteric", kSteps, 0);
   }
 }
 
@@ -151,9 +149,9 @@ TEST(KernelConformance, BitIdentitySameStorageF16) {
 TEST(KernelConformance, QuantizationBoundF32) {
   const double tol = 64.0 * StorageTraits<float>::kEpsilon * kSteps;
   for (const Scenario& sc : scenarios(false)) {
-    runLockstep<D3Q19, double, float>(sc, KernelVariant::Simd, kSteps, tol);
+    runLockstep<D3Q19, double, float>(sc, "simd", kSteps, tol);
     if (!sc.hasOutflow)
-      runLockstep<D3Q19, double, float>(sc, KernelVariant::Esoteric, kSteps,
+      runLockstep<D3Q19, double, float>(sc, "esoteric", kSteps,
                                         tol);
   }
 }
@@ -161,9 +159,9 @@ TEST(KernelConformance, QuantizationBoundF32) {
 TEST(KernelConformance, QuantizationBoundF16) {
   const double tol = 64.0 * StorageTraits<f16>::kEpsilon * kSteps;
   for (const Scenario& sc : scenarios(false)) {
-    runLockstep<D3Q19, double, f16>(sc, KernelVariant::Simd, kSteps, tol);
+    runLockstep<D3Q19, double, f16>(sc, "simd", kSteps, tol);
     if (!sc.hasOutflow)
-      runLockstep<D3Q19, double, f16>(sc, KernelVariant::Esoteric, kSteps,
+      runLockstep<D3Q19, double, f16>(sc, "esoteric", kSteps,
                                       tol);
   }
 }
@@ -179,9 +177,9 @@ TEST(KernelConformance, MassConservedClosedBox) {
                       mask(3, 2, z) = MaterialTable::kSolid;
                   },
                   false};
-  for (KernelVariant v :
-       {KernelVariant::Fused, KernelVariant::Simd, KernelVariant::Esoteric,
-        KernelVariant::Push})
+  for (const char* v :
+       {"fused", "simd", "esoteric",
+        "push"})
     expectMassConserved<D3Q19, double>(closed, v, 7);
 }
 
@@ -192,9 +190,9 @@ TEST(KernelConformance, RestStateFixedPoint) {
   // bounce-back defect shows up as an O(f) error, 12+ orders larger).
   Scenario box{"rest_box", {5, 5, 3}, Periodicity{false, false, false},
                nullptr, false};
-  for (KernelVariant v : {KernelVariant::Simd, KernelVariant::Esoteric}) {
+  for (const char* v : {"simd", "esoteric"}) {
     Solver<D3Q19, double> s = makeSolver<D3Q19, double>(box);
-    s.setVariant(v);
+    s.setBackend(v);
     s.finalizeMask();
     s.initUniform(1.0, {0, 0, 0});
     Real feq[D3Q19::Q];
@@ -205,21 +203,21 @@ TEST(KernelConformance, RestStateFixedPoint) {
         for (int x = 0; x < 5; ++x)
           for (int i = 0; i < D3Q19::Q; ++i)
             ASSERT_NEAR(s.population(i, x, y, z), feq[i], 5e-14)
-                << kernel_variant_name(v) << " at i=" << i << " (" << x << ","
-                << y << "," << z << ")";
+                << v << " at i=" << i << " (" << x << "," << y << "," << z
+                << ")";
   }
 }
 
 TEST(KernelConformance, ThreadCountParity) {
-  // The mt drivers split z-slabs; any thread count must be bit-identical
+  // The executor splits z-slabs; any thread count must be bit-identical
   // (fused already guarantees this; Simd and Esoteric inherit the claim).
   for (int threads : {2, 3}) {
-    for (KernelVariant v : {KernelVariant::Simd, KernelVariant::Esoteric}) {
+    for (const char* v : {"simd", "esoteric"}) {
       Scenario sc = scenarios(false)[1];  // solid_obstacle
       Solver<D3Q19, double> a = makeSolver<D3Q19, double>(sc);
       Solver<D3Q19, double> b = makeSolver<D3Q19, double>(sc);
-      a.setVariant(v);
-      b.setVariant(v);
+      a.setBackend(v);
+      b.setBackend(v);
       b.setHostThreads(threads);
       a.finalizeMask();
       b.finalizeMask();
@@ -230,8 +228,7 @@ TEST(KernelConformance, ThreadCountParity) {
         b.step();
       }
       expectEquivalent<D3Q19>(a, b, 0,
-                              std::string(kernel_variant_name(v)) + " mt=" +
-                                  std::to_string(threads));
+                              std::string(v) + " mt=" + std::to_string(threads));
     }
   }
 }
@@ -240,8 +237,8 @@ TEST(KernelConformance, ThreadCountParity) {
 // Everything registered for a (lattice, storage) pair is held to exactly
 // what its capability flags promise; a backend added to the registry is
 // covered with no test edits, and one whose flags overpromise fails here.
-// This sweep is what pins "threads" and "swcpe" — the hand-written lists
-// above predate the registry and keep the narrow bounds documented.
+// This sweep is what pins "swcpe" — the hand-written lists above predate
+// the registry and keep the narrow bounds documented.
 
 TEST(KernelConformance, RegisteredBackendsConformD3Q19) {
   for (const Scenario& sc : scenarios(false))
@@ -253,29 +250,34 @@ TEST(KernelConformance, RegisteredBackendsConformD2Q9) {
     conformance::runRegisteredBackends<D2Q9, double>(sc, kSteps);
 }
 
-TEST(KernelConformance, ThreadsBackendBitIdenticalAtAnyTeamSize) {
-  // The thread-team backend splits the same z-slabs as the fused mt
-  // driver, so every team size — serial fallback (1), a small team (2),
-  // and one lane per hardware core (0 resolves to hardware_concurrency)
-  // — must be bit-identical to single-thread fused.
-  for (int threads : {1, 2, 0}) {
-    for (const Scenario& sc : scenarios(false)) {
-      SCOPED_TRACE("team=" + std::to_string(threads));
-      Solver<D3Q19, double> ref = makeSolver<D3Q19, double>(sc);
-      Solver<D3Q19, double> sut = makeSolver<D3Q19, double>(sc);
-      sut.setBackend("threads");
-      sut.setHostThreads(threads);
-      ref.finalizeMask();
-      sut.finalizeMask();
-      initSmooth(ref);
-      initSmooth(sut);
-      for (int s = 0; s < 4; ++s) {
-        ref.step();
-        sut.step();
+TEST(KernelConformance, HostThreadBackendsBitIdenticalAtAnyTeamSize) {
+  // Every caps.usesHostThreads backend runs its serial kernel over the
+  // same z-slabs on its TeamPool, so every team size — the serial path
+  // (1), a small team (2), and one lane per hardware core (0 resolves to
+  // hardware_concurrency) — must be bit-identical to single-thread fused.
+  for (const std::string& name : backend_names<D3Q19, double>()) {
+    const BackendInfo& info = *find_backend_info(name);
+    if (!info.caps.usesHostThreads) continue;
+    for (int threads : {1, 2, 0}) {
+      for (const Scenario& sc : scenarios(false)) {
+        if (sc.hasOutflow && !info.caps.supportsOutflow) continue;
+        SCOPED_TRACE(name + " team=" + std::to_string(threads));
+        Solver<D3Q19, double> ref = makeSolver<D3Q19, double>(sc);
+        Solver<D3Q19, double> sut = makeSolver<D3Q19, double>(sc);
+        sut.setBackend(name);
+        sut.setHostThreads(threads);
+        ref.finalizeMask();
+        sut.finalizeMask();
+        initSmooth(ref);
+        initSmooth(sut);
+        for (int s = 0; s < 4; ++s) {
+          ref.step();
+          sut.step();
+        }
+        expectEquivalent<D3Q19>(ref, sut, 0,
+                                sc.name + "/" + name + " team=" +
+                                    std::to_string(threads));
       }
-      expectEquivalent<D3Q19>(ref, sut, 0,
-                              sc.name + "/threads team=" +
-                                  std::to_string(threads));
     }
   }
 }
@@ -325,7 +327,7 @@ TEST(KernelConformance, CatalogAndRegistryAgree) {
 TEST(KernelConformance, EsotericRejectsOutflow) {
   Scenario sc = scenarios(false)[5];  // inlet_outflow
   Solver<D3Q19, double> s = makeSolver<D3Q19, double>(sc);
-  s.setVariant(KernelVariant::Esoteric);
+  s.setBackend("esoteric");
   EXPECT_THROW(s.finalizeMask(), Error);
 }
 
@@ -333,7 +335,7 @@ TEST(KernelConformance, EsotericHalvesPopulationMemory) {
   Scenario sc = scenarios(false)[0];
   Solver<D3Q19, double> two = makeSolver<D3Q19, double>(sc);
   Solver<D3Q19, double> one = makeSolver<D3Q19, double>(sc);
-  one.setVariant(KernelVariant::Esoteric);
+  one.setBackend("esoteric");
   EXPECT_EQ(one.populationBytes() * 2, two.populationBytes());
 }
 

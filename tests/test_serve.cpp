@@ -5,6 +5,8 @@
 // admission verdicts, bit-identical evict -> resume continuation, per-job
 // fault isolation, and zero checkpoint debris after shutdown.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cmath>
@@ -21,6 +23,7 @@
 #include "serve/queue.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/server.hpp"
+#include "serve/socket.hpp"
 #include "serve/wire.hpp"
 
 using namespace swlb;
@@ -488,4 +491,83 @@ TEST(Serve, PriorityScalesQuantumNotTurnOrder) {
   EXPECT_EQ(quantaLo, 8u);
   EXPECT_EQ(quantaHi, 2u);
   server.shutdown();
+}
+
+// ---- hostile input -----------------------------------------------------
+
+namespace {
+
+/// A raw submit line for an 8^3 cavity with `fields` spliced in verbatim,
+/// so the numbers reach the server exactly as a client spelled them (the
+/// wire grammar hands numbers to strtod, which accepts inf and NaN).
+std::string rawSubmit(const std::string& fields) {
+  return "{\"op\":\"submit\",\"tenant\":\"edge\",\"cfg.case\":\"cavity\","
+         "\"cfg.nx\":\"8\",\"cfg.ny\":\"8\",\"cfg.nz\":\"8\"," +
+         fields + "}";
+}
+
+}  // namespace
+
+TEST(Serve, OutOfRangeSubmitNumbersAnswerErrorAndKeepServing) {
+  ScratchDir dir("serve_bad_numbers_test");
+  ServerConfig cfg;
+  cfg.workers = 1;
+  cfg.quantumSteps = 4;
+  cfg.checkpointDir = dir.path;
+  Server server(cfg);
+  Session& s = server.openSession();
+  // Step counts a double cannot carry exactly into std::uint64_t, and a
+  // NaN priority that no clamp can order, are refused by name.
+  for (const char* fields :
+       {"\"steps\":1e300", "\"steps\":inf", "\"steps\":-inf",
+        "\"steps\":NaN", "\"steps\":9007199254740994",
+        "\"steps\":4,\"priority\":NaN"}) {
+    SCOPED_TRACE(fields);
+    s.request(rawSubmit(fields));
+    const auto line = s.nextEvent();
+    ASSERT_TRUE(line.has_value());
+    EXPECT_EQ(wire_string(decode_line(*line), "event"), "error") << *line;
+  }
+  // Huge priorities clamp (as a double, before the cast) to the maximum,
+  // like any other out-of-range priority.
+  s.request(rawSubmit("\"steps\":4,\"priority\":1e300"));
+  s.request(rawSubmit("\"steps\":4,\"priority\":inf"));
+  // The daemon keeps serving: all three jobs run to completion.
+  s.request(encode_line(submitCavity("acme", 8, 8)));
+  drainUntilFinished(s, 3);
+  for (const auto& info : server.snapshot()) {
+    EXPECT_EQ(info.state, JobState::Done);
+    if (info.tenant == "edge") {
+      EXPECT_EQ(info.priority, JobSpec::kMaxPriority);
+    }
+  }
+  EXPECT_EQ(server.metrics().counterValue("serve.jobs_done"), 3u);
+  server.shutdown();
+}
+
+TEST(LineStream, OverLongLineIsRefusedAfterEarlierLines) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  LineStream reader(fds[0]);
+  // One valid line, then a line one byte past the limit.  The writer runs
+  // on its own thread: the flood exceeds the socket buffer, so it
+  // completes only as the reader drains it.
+  std::thread writer([fd = fds[1]] {
+    std::string out = "{\"op\":\"stats\"}\n";
+    out.append(LineStream::kMaxLineBytes + 1, 'x');
+    out.push_back('\n');
+    std::size_t off = 0;
+    while (off < out.size()) {
+      const ssize_t n =
+          ::send(fd, out.data() + off, out.size() - off, MSG_NOSIGNAL);
+      if (n <= 0) break;
+      off += static_cast<std::size_t>(n);
+    }
+  });
+  const auto first = reader.readLine();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(*first, "{\"op\":\"stats\"}");
+  EXPECT_FALSE(reader.readLine().has_value());
+  writer.join();
+  ::close(fds[1]);
 }

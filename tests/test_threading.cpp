@@ -1,8 +1,11 @@
-// Host-thread parallel fused kernel: disjoint z-slab writes make any
-// thread count bit-identical to the serial kernel.
+// The host-thread executor (run_slabs over a TeamPool): disjoint z-slab
+// writes make any lane count bit-identical to the serial fused kernel.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <iterator>
+#include <thread>
 
 #include "core/solver.hpp"
 
@@ -36,13 +39,56 @@ TEST_P(ThreadCountSweep, BitIdenticalToSerialKernel) {
     ASSERT_EQ(serial.f().data()[i], parallel.f().data()[i]);
 }
 
-INSTANTIATE_TEST_SUITE_P(Threads, ThreadCountSweep, ::testing::Values(2, 3, 4, 16),
+// 0 resolves to one lane per hardware core.
+INSTANTIATE_TEST_SUITE_P(Threads, ThreadCountSweep,
+                         ::testing::Values(0, 2, 3, 4, 16),
                          [](const ::testing::TestParamInfo<int>& info) {
                            return "t" + std::to_string(info.param);
                          });
 
+/// One fused-backend update of `range` with `threads` host lanes.
+void fusedStep(const PopulationField& src, PopulationField& dst,
+               const MaskField& mask, const MaterialTable& mats,
+               const CollisionConfig& cfg, const Box3& range, int threads) {
+  BackendStepArgs<D3Q19, Real> args;
+  args.src = &src;
+  args.dst = &dst;
+  args.mask = &mask;
+  args.mats = &mats;
+  args.cfg = &cfg;
+  args.range = range;
+  args.threads = threads;
+  make_backend<D3Q19, Real>("fused")->step(args);
+}
+
+/// Threads of this process (Linux: one /proc/self/task entry each).
+long processThreads() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return std::distance(begin(tasks), end(tasks));
+}
+
+TEST(Threading, OneLaneStartsNoPoolWorker) {
+  // hostThreads = 1 is the default for every solver and patch backend, so
+  // it must run on the calling thread; n lanes park n - 1 workers for the
+  // backend's lifetime.
+  // The thread sanitizer starts a helper thread with the first thread the
+  // process creates; create one first so the baseline includes it.
+  std::thread([] {}).join();
+  const long before = processThreads();
+  for (int lanes : {1, 3}) {
+    Solver<D3Q19> solver(Grid(6, 6, 6), CollisionConfig{},
+                         Periodicity{true, true, true});
+    solver.setHostThreads(lanes);
+    solver.finalizeMask();
+    solver.initUniform(1.0, {0.01, 0, 0});
+    solver.run(2);
+    EXPECT_EQ(processThreads(), before + lanes - 1) << lanes << " lanes";
+  }
+  EXPECT_EQ(processThreads(), before);  // workers joined with the backend
+}
+
 TEST(Threading, MoreThreadsThanSlabsStillCorrect) {
-  // nz = 2 with 8 threads: the kernel clamps the thread count.
+  // nz = 2 with 8 threads: the executor clamps the lane count.
   CollisionConfig cfg;
   cfg.omega = 1.2;
   Grid g(8, 8, 2);
@@ -57,7 +103,7 @@ TEST(Threading, MoreThreadsThanSlabsStillCorrect) {
       for (int y = -1; y <= 8; ++y)
         for (int x = -1; x <= 8; ++x) src(q, x, y, z) = feq[q];
   stream_collide_fused<D3Q19>(src, a, mask, mats, cfg, g.interior());
-  stream_collide_fused_mt<D3Q19>(src, b, mask, mats, cfg, g.interior(), 8);
+  fusedStep(src, b, mask, mats, cfg, g.interior(), 8);
   for (std::size_t i = 0; i < a.size(); ++i)
     ASSERT_EQ(a.data()[i], b.data()[i]);
 }
@@ -81,7 +127,7 @@ TEST(Threading, SubRangeDispatchRespectsBounds) {
   Box3 range = g.interior();
   range.lo.z = 2;
   range.hi.z = 6;
-  stream_collide_fused_mt<D3Q19>(src, dst, mask, mats, cfg, range, 3);
+  fusedStep(src, dst, mask, mats, cfg, range, 3);
   EXPECT_EQ(dst(0, 3, 3, 1), -7.0);  // untouched below
   EXPECT_EQ(dst(0, 3, 3, 6), -7.0);  // untouched above
   EXPECT_NE(dst(0, 3, 3, 3), -7.0);  // written inside

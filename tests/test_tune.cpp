@@ -98,37 +98,34 @@ TEST(Tuner, AppliesPlanToSubsystemConfigs) {
 
 TEST(Tuner, AppliesBackendToSolverKnobs) {
   TuningPlan p = Tuner().plan(cavityInput());
-  KernelVariant v = KernelVariant::Generic;
-  apply(p, v);  // "fused" plan overrides whatever the caller had
-  EXPECT_EQ(v, KernelVariant::Fused);
-  p.backend = "esoteric";
-  apply(p, v);
-  EXPECT_EQ(v, KernelVariant::Esoteric);
-  p.backend = "threads";
-  apply(p, v);
-  EXPECT_EQ(v, KernelVariant::Threads);
-  // The registry-name overload drives the string-typed configs.  (Qualified
-  // calls: a std::string argument would otherwise drag std::apply into the
-  // ADL overload set, which hard-errors on non-tuple arguments.)
+  // Qualified calls: a std::string argument would otherwise drag
+  // std::apply into the ADL overload set, which hard-errors on non-tuple
+  // arguments.
   std::string name = "generic";
+  swlb::tune::apply(p, name);  // "fused" plan overrides the caller's value
+  EXPECT_EQ(name, "fused");
+  p.backend = "esoteric";
   swlb::tune::apply(p, name);
-  EXPECT_EQ(name, "threads");
-  // Uncatalogued names (from a newer cache schema) leave the caller's
-  // values untouched.
-  p.backend = "warp-speculative";
-  apply(p, v);
+  EXPECT_EQ(name, "esoteric");
+  p.backend = "simd";
   swlb::tune::apply(p, name);
-  EXPECT_EQ(v, KernelVariant::Threads);
-  EXPECT_EQ(name, "threads");
+  EXPECT_EQ(name, "simd");
+  // Uncatalogued names (from a newer cache schema, or the retired
+  // "threads" backend) leave the caller's value untouched.
+  for (const char* unknown : {"warp-speculative", "threads"}) {
+    p.backend = unknown;
+    swlb::tune::apply(p, name);
+    EXPECT_EQ(name, "simd");
+  }
 }
 
 TEST(Tuner, AppliesPatchBackendMap) {
   TuningPlan p = Tuner().plan(cavityInput());
-  p.patchBackends = {{0, "simd"}, {3, "threads"}, {5, "warp-speculative"}};
+  p.patchBackends = {{0, "simd"}, {3, "fused"}, {5, "warp-speculative"}};
   std::map<int, std::string> m = {{9, "stale"}};
   swlb::tune::apply(p, m);
   // Catalogued entries replace the map wholesale; unknown names drop.
-  const std::map<int, std::string> want = {{0, "simd"}, {3, "threads"}};
+  const std::map<int, std::string> want = {{0, "simd"}, {3, "fused"}};
   EXPECT_EQ(m, want);
 }
 
@@ -145,7 +142,7 @@ TEST(Tuner, BackendTrialsPickFromMeasuredLadder) {
   EXPECT_NE(p.evidence.count("trial.backend.fused_mlups"), 0u);
   EXPECT_NE(p.evidence.count("trial.backend.simd_mlups"), 0u);
   EXPECT_NE(p.evidence.count("trial.backend.esoteric_mlups"), 0u);
-  EXPECT_NE(p.evidence.count("trial.backend.threads_mlups"), 0u);
+  EXPECT_EQ(p.evidence.count("trial.backend.threads_mlups"), 0u);
 }
 
 TEST(Tuner, PatchCellsYieldPerPatchBackendMap) {
@@ -192,7 +189,7 @@ TEST(TuningCache, BackendSurvivesRoundTrip) {
   const TuningInput in = cavityInput();
   TuningPlan p = Tuner().plan(in);
   p.backend = "esoteric";
-  p.patchBackends = {{1, "simd"}, {4, "threads"}};
+  p.patchBackends = {{1, "simd"}, {4, "fused"}};
   TuningCache cache;
   cache.store(in.key(), p);
   const std::string path = tmpPath("swlb_tune_variant.json");
@@ -216,10 +213,12 @@ TEST(TuningCache, LegacyKernelVariantFieldReadsAsBackend) {
   TuningCache cache;
   cache.store(in.key(), p);
   std::string json = cache.toString();
-  const std::string be = "\"backend\": \"simd\", ";
-  auto pos = json.find(be);
+  // Current writers emit only "backend"; spell it the legacy way.
+  EXPECT_EQ(json.find("kernel_variant"), std::string::npos);
+  const std::string be = "\"backend\"";
+  auto pos = json.find(be + ": \"simd\"");
   ASSERT_NE(pos, std::string::npos);
-  json.erase(pos, be.size());
+  json.replace(pos, be.size(), "\"kernel_variant\"");
   const std::string pb = "\"patch_backends\": {}, ";
   pos = json.find(pb);
   ASSERT_NE(pos, std::string::npos);
