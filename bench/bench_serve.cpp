@@ -138,7 +138,8 @@ int main(int argc, char** argv) {
       for (int j = 0; j < opt.jobs; ++j) {
         WireMap req;
         req["op"] = WireValue::ofString("submit");
-        req["tenant"] = WireValue::ofString("t" + std::to_string(c));
+        req["tenant"] =
+            WireValue::ofString(std::string("t").append(std::to_string(c)));
         req["steps"] = WireValue::ofNumber(opt.steps);
         req["cfg.case"] = WireValue::ofString("cavity");
         req["cfg.nx"] = WireValue::ofString("12");

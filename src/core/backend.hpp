@@ -23,9 +23,10 @@
 //     override them; the defaults copy PopulationFieldT::raw verbatim.
 //   * All hooks are called from the solver's step thread.  Backends with
 //     caps.usesHostThreads honor the `threads` argument by running their
-//     serial kernel over z-slabs on their own TeamPool (run_slabs in
-//     core/kernels_team.hpp, the one host-thread executor); every hook
-//     returns only after `dst` is fully written — hooks never overlap.
+//     serial kernel over z-slabs on the solver rank's TeamPool, passed in
+//     as `pool` (run_slabs in core/kernels_team.hpp, the one host-thread
+//     executor); every hook returns only after `dst` is fully written —
+//     hooks never overlap, so one pool serves all of a rank's backends.
 //
 // Units: cost hints are seconds and dimensionless ratios; `threads` is a
 // host-thread count where <= 0 means "one per hardware core".
@@ -40,6 +41,8 @@
 #include "core/kernels.hpp"
 
 namespace swlb {
+
+class TeamPool;
 
 /// What a backend can and cannot do.  Solvers check these flags up front
 /// and reject unsupported combinations with a named error — never fall
@@ -120,7 +123,8 @@ const BackendInfo* find_backend_info(const std::string& name);
 /// the caller exactly as for stream_collide_fused).  `periodic` is only
 /// consulted by push-style scatters that wrap in-kernel; `threads` is
 /// the host-thread hint for caps.usesHostThreads backends (<= 0 = one
-/// per hardware core).
+/// per hardware core), run on the caller's `pool` (may be null when
+/// `threads` is 1).
 template <class D, class S>
 struct BackendStepArgs {
   const PopulationFieldT<S>* src = nullptr;
@@ -131,12 +135,14 @@ struct BackendStepArgs {
   Box3 range;
   Periodicity periodic;
   int threads = 1;
+  TeamPool* pool = nullptr;
 };
 
 /// Abstract kernel backend for lattice D and storage S.  Instances are
 /// created per solver (or per patch) through make_backend and may hold
-/// mutable execution state (thread pools, the CPE cluster, LDM arenas);
-/// they are not shared between solvers.
+/// mutable execution state (the CPE cluster, LDM arenas); they are not
+/// shared between solvers.  Host threads are not backend state: the
+/// solver lends its rank's TeamPool to each call.
 template <class D, class S>
 class KernelBackend {
  public:
@@ -174,11 +180,13 @@ class KernelBackend {
   /// Even in-place phase: sweep `range` of the single buffer, leaving it
   /// in the rotated Esoteric-Pull layout.  The caller wraps periodic
   /// halos before and folds the outward scatter back (reverse wrap /
-  /// reverse exchange) after.  Only caps.inPlaceStreaming backends
-  /// implement the pair; the defaults throw.
+  /// reverse exchange) after.  `threads`/`pool` as in BackendStepArgs.
+  /// Only caps.inPlaceStreaming backends implement the pair; the
+  /// defaults throw.
   virtual void stepInPlaceEven(Field&, const MaskField&,
                                const MaterialTable&, const CollisionConfig&,
-                               const Box3&, int /*threads*/) {
+                               const Box3&, int /*threads*/,
+                               TeamPool* /*pool*/) {
     throw Error("backend '" + info().name +
                 "' does not stream in place (no even-phase hook)");
   }
@@ -187,7 +195,7 @@ class KernelBackend {
   /// traffic), restoring the natural layout.
   virtual void stepInPlaceOdd(Field&, const MaskField&, const MaterialTable&,
                               const CollisionConfig&, const Box3&,
-                              int /*threads*/) {
+                              int /*threads*/, TeamPool* /*pool*/) {
     throw Error("backend '" + info().name +
                 "' does not stream in place (no odd-phase hook)");
   }

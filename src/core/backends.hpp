@@ -34,20 +34,17 @@ class TwoLatticeBackend : public KernelBackend<D, S> {
 }  // namespace detail
 
 /// The production path: the fused pull kernel over z-slabs on the
-/// backend's own TeamPool (`threads <= 0` = one lane per core, the
+/// solver rank's TeamPool (`threads <= 0` = one lane per core, the
 /// CPE-cluster role on commodity hosts).
 template <class D, class S>
 class FusedBackend final : public detail::TwoLatticeBackend<D, S> {
  public:
   FusedBackend() : detail::TwoLatticeBackend<D, S>("fused") {}
   void step(const BackendStepArgs<D, S>& a) override {
-    run_slabs(pool_, a.range, a.threads, [&](const Box3& slab) {
+    run_slabs(a.pool, a.range, a.threads, [&](const Box3& slab) {
       stream_collide_fused<D>(*a.src, *a.dst, *a.mask, *a.mats, *a.cfg, slab);
     });
   }
-
- private:
-  TeamPool pool_;
 };
 
 template <class D, class S>
@@ -85,13 +82,10 @@ class SimdBackend final : public detail::TwoLatticeBackend<D, S> {
  public:
   SimdBackend() : detail::TwoLatticeBackend<D, S>("simd") {}
   void step(const BackendStepArgs<D, S>& a) override {
-    run_slabs(pool_, a.range, a.threads, [&](const Box3& slab) {
+    run_slabs(a.pool, a.range, a.threads, [&](const Box3& slab) {
       stream_collide_simd<D>(*a.src, *a.dst, *a.mask, *a.mats, *a.cfg, slab);
     });
   }
-
- private:
-  TeamPool pool_;
 };
 
 /// In-place Esoteric-Pull backend: implements the even/odd phase pair,
@@ -108,21 +102,20 @@ class EsotericBackend final : public detail::TwoLatticeBackend<D, S> {
   }
   void stepInPlaceEven(Field& f, const MaskField& mask,
                        const MaterialTable& mats, const CollisionConfig& cfg,
-                       const Box3& range, int threads) override {
-    run_slabs(pool_, range, threads, [&](const Box3& slab) {
+                       const Box3& range, int threads,
+                       TeamPool* pool) override {
+    run_slabs(pool, range, threads, [&](const Box3& slab) {
       stream_collide_esoteric_even<D>(f, mask, mats, cfg, slab);
     });
   }
   void stepInPlaceOdd(Field& f, const MaskField& mask,
                       const MaterialTable& mats, const CollisionConfig& cfg,
-                      const Box3& range, int threads) override {
-    run_slabs(pool_, range, threads, [&](const Box3& slab) {
+                      const Box3& range, int threads,
+                      TeamPool* pool) override {
+    run_slabs(pool, range, threads, [&](const Box3& slab) {
       stream_collide_esoteric_odd<D>(f, mask, mats, cfg, slab);
     });
   }
-
- private:
-  TeamPool pool_;
 };
 
 /// Factory registry for one (lattice, storage) instantiation.  Built-ins

@@ -1,7 +1,10 @@
 // The one host-thread executor (DESIGN.md §14): every backend that runs
 // more than one host thread (fused, simd, esoteric) calls its serial
 // kernel through run_slabs(), which splits the update range into z-slabs
-// and runs them on a persistent TeamPool.
+// and runs them on a persistent TeamPool.  The pool belongs to the solver
+// rank (Solver, each DistributedSolver or PatchSolver rank) and is lent
+// to its backends per call, so a rank parks lanes - 1 workers however
+// many patches or backends it drives.
 //
 // The z-slab split is the intra-rank analogue of the paper's 64-CPE
 // partition: each lane writes a disjoint set of cells, so any lane count
@@ -17,6 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -120,16 +124,19 @@ class TeamPool {
 /// Run `fn(slab)` over the z-slabs of `range` on `pool`: `threads` is
 /// resolved (<= 0 = one lane per core) and clamped to the z extent.
 /// One lane calls `fn(range)` on the calling thread and never starts a
-/// pool worker.
+/// pool worker (`pool` may then be null); more lanes need a pool.
 template <class Fn>
-void run_slabs(TeamPool& pool, const Box3& range, int threads, Fn&& fn) {
+void run_slabs(TeamPool* pool, const Box3& range, int threads, Fn&& fn) {
   const int nz = range.hi.z - range.lo.z;
   const int n = std::max(1, std::min(resolve_host_threads(threads), nz));
   if (n == 1) {
     fn(range);
     return;
   }
-  pool.parallelFor(n, [&](int t) { fn(team_slab(range, t, n)); });
+  if (!pool)
+    throw Error("run_slabs: " + std::to_string(n) +
+                " host lanes requested without a TeamPool");
+  pool->parallelFor(n, [&](int t) { fn(team_slab(range, t, n)); });
 }
 
 }  // namespace swlb

@@ -16,21 +16,34 @@
 // roundoff *of the deviation*, not of the full population.
 //
 // Storage types: double (lossless, the compatibility default), float, and
-// a software IEEE 754 binary16 `f16` (no hardware half assumed).  The
-// compute path always gathers/collides in Real (double) precision.
+// an IEEE 754 binary16 `f16` (F16C conversions where the build enables
+// them, bit-identical software converters otherwise).  The compute path
+// always gathers/collides in Real (double) precision.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
 
+#if defined(__F16C__)
+#include <immintrin.h>
+#endif
+
 #include "core/common.hpp"
 
 namespace swlb {
 
-/// Software IEEE 754 binary16 (1 sign, 5 exponent, 10 mantissa bits).
+/// IEEE 754 binary16 (1 sign, 5 exponent, 10 mantissa bits).
 /// Conversions round to nearest, ties to even; overflow saturates to
 /// +/-inf; subnormals are handled exactly.  Storage-only type: arithmetic
 /// happens after decoding to Real.
+///
+/// fromFloat/toFloat use the F16C instructions when the build enables
+/// them (`__F16C__`, set by swlb's configure-time detection) and the
+/// always-compiled software converters otherwise.  Both give the same
+/// bits on every input: the hardware and software agree on every
+/// non-NaN value, and NaNs (where vcvtps2ph keeps the payload and
+/// vcvtph2ps quiets it) always take the software branch, which encodes
+/// any NaN as 0x7E00|sign and decodes a NaN half without quieting it.
 struct f16 {
   std::uint16_t bits = 0;
 
@@ -40,64 +53,77 @@ struct f16 {
 
   friend constexpr bool operator==(const f16&, const f16&) = default;
 
+  /// True when fromFloat/toFloat run on the F16C instructions.
+#if defined(__F16C__)
+  static constexpr bool kHardware = true;
+#else
+  static constexpr bool kHardware = false;
+#endif
+
   static std::uint16_t fromFloat(float f) {
+#if defined(__F16C__)
+    std::uint32_t x;
+    std::memcpy(&x, &f, sizeof(x));
+    if ((x & 0x7FFFFFFFu) <= 0x7F800000u)  // not NaN
+      return static_cast<std::uint16_t>(
+          _cvtss_sh(f, _MM_FROUND_TO_NEAREST_INT));
+#endif
+    return fromFloatSoft(f);
+  }
+
+  static float toFloat(std::uint16_t h) {
+#if defined(__F16C__)
+    if ((h & 0x7FFFu) <= 0x7C00u) return _cvtsh_ss(h);  // not NaN
+#endif
+    return toFloatSoft(h);
+  }
+
+  /// Software encode.  Normals rebias the exponent and round on the
+  /// 13 dropped bits (adding 0xFFF plus the kept lsb is round to nearest
+  /// even, and a carry correctly bumps the exponent, up to inf).  Results
+  /// below 2^-14 come from one float add of 0.5f: its ulp is 2^-24, the
+  /// half subnormal ulp, so the FPU's own rounding is the half's.
+  static std::uint16_t fromFloatSoft(float f) {
     std::uint32_t x;
     std::memcpy(&x, &f, sizeof(x));
     const std::uint16_t sign = static_cast<std::uint16_t>((x >> 16) & 0x8000u);
     const std::uint32_t absx = x & 0x7FFFFFFFu;
-    if (absx >= 0x7F800000u) {  // inf / NaN
-      const std::uint16_t payload = absx > 0x7F800000u ? 0x0200u : 0u;
-      return static_cast<std::uint16_t>(sign | 0x7C00u | payload);
-    }
-    if (absx >= 0x47800000u)  // >= 65536: overflows half's range -> inf
-      return static_cast<std::uint16_t>(sign | 0x7C00u);
-    if (absx < 0x33000000u)  // < 2^-25: underflows to zero (even tie)
-      return sign;
-    std::uint32_t mant = (absx & 0x007FFFFFu) | 0x00800000u;  // implicit 1
-    const int exp = static_cast<int>(absx >> 23) - 127;       // unbiased
-    int shift;                                                // mant >> shift
-    std::uint16_t half;
-    if (exp < -14) {
-      // Subnormal half: value = mant * 2^(exp-23), half ulp = 2^-24.
-      shift = 13 + (-14 - exp);
-      half = sign;
+    std::uint32_t half;
+    if (absx >= 0x47800000u) {  // >= 65536, inf or NaN
+      half = absx > 0x7F800000u ? 0x7E00u : 0x7C00u;
+    } else if (absx < 0x38800000u) {  // < 2^-14: subnormal half or zero
+      float a;
+      std::memcpy(&a, &absx, sizeof(a));
+      a += 0.5f;
+      std::uint32_t ab;
+      std::memcpy(&ab, &a, sizeof(ab));
+      half = ab - 0x3F000000u;
     } else {
-      shift = 13;
-      half = static_cast<std::uint16_t>(
-          sign | ((exp + 15) << 10));
-      mant &= 0x007FFFFFu;  // normal: implicit bit lives in the exponent
+      half = (absx + (static_cast<std::uint32_t>(15 - 127) << 23) + 0xFFFu +
+              ((absx >> 13) & 1u)) >>
+             13;
     }
-    std::uint32_t rounded = mant >> shift;
-    // Round to nearest, ties to even.
-    const std::uint32_t rem = mant & ((1u << shift) - 1);
-    const std::uint32_t halfway = 1u << (shift - 1);
-    if (rem > halfway || (rem == halfway && (rounded & 1u)))
-      ++rounded;  // may carry into the exponent field: that is correct
-    return static_cast<std::uint16_t>(half + rounded);
+    return static_cast<std::uint16_t>(sign | half);
   }
 
-  static float toFloat(std::uint16_t h) {
+  /// Software decode: shift exponent and mantissa into place and rebias;
+  /// inf/NaN get the full float exponent, and subnormals are renormalized
+  /// exactly by subtracting the 2^-14 the rebias added.
+  static float toFloatSoft(std::uint16_t h) {
     const std::uint32_t sign = static_cast<std::uint32_t>(h & 0x8000u) << 16;
-    const std::uint32_t exp = (h >> 10) & 0x1Fu;
-    std::uint32_t mant = h & 0x03FFu;
-    std::uint32_t x;
-    if (exp == 0x1Fu) {  // inf / NaN
-      x = sign | 0x7F800000u | (mant << 13);
-    } else if (exp != 0) {  // normal
-      x = sign | ((exp + 112u) << 23) | (mant << 13);
-    } else if (mant != 0) {  // subnormal: normalize into a float
-      int e = -1;
-      do {
-        mant <<= 1;
-        ++e;
-      } while ((mant & 0x0400u) == 0);
-      // mant = orig << (e + 1); value = orig * 2^-24, so the float's
-      // unbiased exponent is -15 - e  ->  biased 112 - e.
-      x = sign | ((112u - e) << 23) | ((mant & 0x03FFu) << 13);
-    } else {  // +/- zero
-      x = sign;
-    }
+    std::uint32_t x = static_cast<std::uint32_t>(h & 0x7FFFu) << 13;
+    const std::uint32_t exp = x & 0x0F800000u;
+    x += static_cast<std::uint32_t>(127 - 15) << 23;
     float f;
+    if (exp == 0x0F800000u) {  // inf / NaN
+      x += static_cast<std::uint32_t>(128 - 16) << 23;
+    } else if (exp == 0) {  // zero / subnormal
+      x += 1u << 23;
+      std::memcpy(&f, &x, sizeof(f));
+      f -= 0x1.0p-14f;
+      std::memcpy(&x, &f, sizeof(x));
+    }
+    x |= sign;
     std::memcpy(&f, &x, sizeof(f));
     return f;
   }

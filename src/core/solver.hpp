@@ -159,6 +159,7 @@ class Solver {
     args.range = grid_.interior();
     args.periodic = periodic_;
     args.threads = hostThreads_;
+    args.pool = pool_.get();
     backend_->step(args);
     parity_ = 1 - parity_;
     ++steps_;
@@ -268,14 +269,14 @@ class Solver {
       {
         obs::TraceScope kernelScope("compute.kernel");
         backend_->stepInPlaceEven(f_[0], mask_, mats_, cfg_, range,
-                                  hostThreads_);
+                                  hostThreads_, pool_.get());
       }
       obs::TraceScope wrapScope("periodic_wrap");
       apply_periodic_reverse<D>(f_[0], periodic_);
     } else {
       obs::TraceScope kernelScope("compute.kernel");
       backend_->stepInPlaceOdd(f_[0], mask_, mats_, cfg_, range,
-                               hostThreads_);
+                               hostThreads_, pool_.get());
     }
   }
 
@@ -286,6 +287,8 @@ class Solver {
   MaskField mask_;
   MaterialTable mats_;
   std::unique_ptr<KernelBackend<D, S>> backend_;
+  /// Host lanes lent to the backend (held by pointer so Solver moves).
+  std::unique_ptr<TeamPool> pool_ = std::make_unique<TeamPool>();
   int hostThreads_ = 1;
   int parity_ = 0;
   std::uint64_t steps_ = 0;

@@ -6,9 +6,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <exception>
 #include <map>
+#include <string>
 #include <thread>
 #include <tuple>
 
@@ -38,6 +40,18 @@ std::uint64_t splitmix64(std::uint64_t z) {
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
   return z ^ (z >> 31);
+}
+
+/// Bytes of a checksummed frame: the payload plus its trailing hash.
+/// Payloads whose frame would not fit in memory are refused before any
+/// allocation, since the sum would otherwise wrap to a tiny buffer.
+std::size_t checksummed_frame_bytes(const char* op, std::size_t bytes) {
+  constexpr std::size_t kMaxPayload =
+      static_cast<std::size_t>(PTRDIFF_MAX) - sizeof(std::uint64_t);
+  if (bytes > kMaxPayload)
+    throw Error(std::string(op) + ": payload of " + std::to_string(bytes) +
+                " bytes exceeds the largest checksummed frame");
+  return bytes + sizeof(std::uint64_t);
 }
 }  // namespace
 
@@ -313,7 +327,8 @@ void Comm::recv(int src, int tag, void* data, std::size_t bytes,
 
 void Comm::sendChecksummed(int dst, int tag, const void* data,
                            std::size_t bytes) {
-  std::vector<std::uint8_t> frame(bytes + sizeof(std::uint64_t));
+  std::vector<std::uint8_t> frame(
+      checksummed_frame_bytes("Comm::sendChecksummed", bytes));
   if (bytes > 0) std::memcpy(frame.data(), data, bytes);
   const std::uint64_t h = fnv1a_hash(data, bytes);
   std::memcpy(frame.data() + bytes, &h, sizeof(h));
@@ -321,7 +336,8 @@ void Comm::sendChecksummed(int dst, int tag, const void* data,
 }
 
 void Comm::recvChecksummed(int src, int tag, void* data, std::size_t bytes) {
-  std::vector<std::uint8_t> frame(bytes + sizeof(std::uint64_t));
+  std::vector<std::uint8_t> frame(
+      checksummed_frame_bytes("Comm::recvChecksummed", bytes));
   recv(src, tag, frame.data(), frame.size());
   std::uint64_t h = 0;
   std::memcpy(&h, frame.data() + bytes, sizeof(h));

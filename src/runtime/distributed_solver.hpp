@@ -388,6 +388,7 @@ class DistributedSolver {
     args.range = range;
     args.periodic = Periodicity{false, false, zWrapLocal()};
     args.threads = cfg_.hostThreads;
+    args.pool = pool_.get();
     backend_->step(args);
   }
 
@@ -412,7 +413,8 @@ class DistributedSolver {
       {
         obs::TraceScope computeScope("compute.interior");
         backend_->stepInPlaceEven(buf, mask_, mats_, cfg_.collision,
-                                  grid_.interior(), cfg_.hostThreads);
+                                  grid_.interior(), cfg_.hostThreads,
+                                  pool_.get());
       }
       {
         obs::TraceScope haloScope("halo.exchange");
@@ -423,7 +425,8 @@ class DistributedSolver {
     } else {
       obs::TraceScope computeScope("compute.interior");
       backend_->stepInPlaceOdd(buf, mask_, mats_, cfg_.collision,
-                               grid_.interior(), cfg_.hostThreads);
+                               grid_.interior(), cfg_.hostThreads,
+                               pool_.get());
     }
   }
 
@@ -454,6 +457,8 @@ class DistributedSolver {
   MaskField mask_;
   MaterialTable mats_;
   std::unique_ptr<KernelBackend<D, S>> backend_;
+  /// This rank's host lanes, lent to the backend per call.
+  std::unique_ptr<TeamPool> pool_ = std::make_unique<TeamPool>();
   int parity_ = 0;
   std::uint64_t steps_ = 0;
   bool maskFinal_ = false;

@@ -131,7 +131,8 @@ class PatchSolver {
     /// backend on the receiver from this same table).
     std::map<int, std::string> patchBackends;
     /// Host threads for caps.usesHostThreads backends (<= 0 = one per
-    /// hardware core).
+    /// hardware core).  The patches of a rank step one after another on
+    /// one TeamPool, so a rank parks hostThreads - 1 workers in total.
     int hostThreads = 1;
   };
 
@@ -260,6 +261,7 @@ class PatchSolver {
         args.range = p.grid.interior();
         args.periodic = Periodicity{false, false, cfg_.periodic.z};
         args.threads = cfg_.hostThreads;
+        args.pool = pool_.get();
         p.backend->step(args);
         const double dt =
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -608,6 +610,8 @@ class PatchSolver {
   MaterialTable mats_;
   std::vector<int> owners_;
   std::map<int, PatchState> patches_;  // owned patches, ascending id
+  /// This rank's host lanes, lent to every patch backend in turn.
+  std::unique_ptr<TeamPool> pool_ = std::make_unique<TeamPool>();
   std::vector<S> localStrip_;  // scratch for intra-rank ghost copies
   int parity_ = 0;
   std::uint64_t steps_ = 0;

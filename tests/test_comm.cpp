@@ -4,6 +4,8 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -363,6 +365,27 @@ TEST(CommFaults, ChecksummedRoundTripWithoutFaultsIsClean) {
       c.recvChecksummed(0, 8, buf.data(), buf.size() * sizeof(double));
       for (int i = 0; i < 32; ++i) EXPECT_EQ(buf[i], i + 0.5);
     }
+  });
+}
+
+TEST(CommFaults, ChecksummedOversizePayloadIsRefusedBeforeAllocating) {
+  // payload + 8 hash bytes would wrap to a tiny frame; both ends refuse
+  // the size with a typed error, and nothing is sent.
+  World world(1);
+  world.run([](Comm& c) {
+    double v = 1.0;
+    for (const std::size_t bytes :
+         {std::numeric_limits<std::size_t>::max(),
+          std::numeric_limits<std::size_t>::max() - 7,
+          static_cast<std::size_t>(PTRDIFF_MAX)}) {
+      EXPECT_THROW(c.sendChecksummed(0, 9, &v, bytes), Error) << bytes;
+      EXPECT_THROW(c.recvChecksummed(0, 9, &v, bytes), Error) << bytes;
+    }
+    EXPECT_EQ(c.stats().messagesSent, 0u);
+    c.sendChecksummed(0, 9, &v, sizeof(v));  // a real payload still works
+    double back = 0;
+    c.recvChecksummed(0, 9, &back, sizeof(back));
+    EXPECT_EQ(back, 1.0);
   });
 }
 

@@ -1,18 +1,21 @@
-// Storage-precision layer tests (DESIGN.md §8): software binary16
-// conversion against known bit patterns, weight-shifted encode/decode
-// round trips and quantization bounds, reduced-precision population
-// fields, cross-precision checkpoint conversion, the LDM blocking gain
-// from smaller storage elements, and a bounded f32-vs-f64 solver
-// divergence over a lid-driven cavity run.
+// Storage-precision layer tests (DESIGN.md §8): binary16 conversion
+// against known bit patterns and, over every half, against a frozen
+// oracle (test_precision_exhaustive sweeps every float), weight-shifted
+// encode/decode round trips and quantization bounds, reduced-precision
+// population fields, cross-precision checkpoint conversion, the LDM
+// blocking gain from smaller storage elements, and a bounded f32-vs-f64
+// solver divergence over a lid-driven cavity run.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <string>
 
 #include "core/precision.hpp"
 #include "core/solver.hpp"
+#include "f16_oracle.hpp"
 #include "io/checkpoint.hpp"
 #include "sw/sw_kernels.hpp"
 
@@ -25,7 +28,47 @@ std::string tmpPath(const std::string& name) {
   return (fs::temp_directory_path() / name).string();
 }
 
-// ---- f16: software binary16 --------------------------------------------
+// ---- f16: binary16 conversion ------------------------------------------
+
+std::uint32_t floatBits(float f) {
+  std::uint32_t x;
+  std::memcpy(&x, &f, sizeof(x));
+  return x;
+}
+
+TEST(F16, HardwarePathMatchesBuildDetection) {
+  // The configure-time F16C check puts -mf16c on swlb's public interface,
+  // so every program instantiating the converters sees the same gate.
+  EXPECT_EQ(f16::kHardware, static_cast<bool>(SWLB_EXPECT_F16C));
+}
+
+TEST(F16, EveryHalfDecodesLikeTheOracle) {
+  // All 65536 halves, NaNs and both zeros included: the software decoder
+  // against the frozen oracle, and the shipped toFloat (F16C when built
+  // with it) against the software decoder.
+  for (std::uint32_t b = 0; b < 0x10000u; ++b) {
+    const auto h = static_cast<std::uint16_t>(b);
+    const std::uint32_t soft = floatBits(f16::toFloatSoft(h));
+    ASSERT_EQ(soft, floatBits(test::oracleToFloat(h)))
+        << "bits=0x" << std::hex << b;
+    ASSERT_EQ(floatBits(f16::toFloat(h)), soft) << "bits=0x" << std::hex << b;
+  }
+}
+
+TEST(F16, NanEncodingIsCanonicalOnBothPaths) {
+  // vcvtps2ph would keep these payloads; the converters must not.
+  for (const std::uint32_t x : {0x7FC00000u, 0x7F800001u, 0x7FFFFFFFu,
+                                0xFFC00001u, 0x7FA00000u}) {
+    float f;
+    std::memcpy(&f, &x, sizeof(f));
+    const std::uint16_t want = (x & 0x80000000u) ? 0xFE00u : 0x7E00u;
+    EXPECT_EQ(f16::fromFloatSoft(f), want) << std::hex << x;
+    EXPECT_EQ(f16::fromFloat(f), want) << std::hex << x;
+  }
+  // vcvtph2ps would quiet a signalling NaN half; the converters keep it.
+  EXPECT_EQ(floatBits(f16::toFloat(0x7C01u)), 0x7F802000u);
+  EXPECT_EQ(floatBits(f16::toFloat(0xFD00u)), 0xFFA00000u);
+}
 
 TEST(F16, KnownBitPatterns) {
   EXPECT_EQ(f16(1.0f).bits, 0x3C00u);

@@ -401,7 +401,8 @@ TEST(Serve, MidRunShutdownLeavesNoCheckpointDebris) {
     Server server(cfg);
     Session& s = server.openSession();
     for (int i = 0; i < 3; ++i)
-      s.request(encode_line(submitCavity("t" + std::to_string(i), 1000)));
+      s.request(encode_line(
+          submitCavity(std::string("t").append(std::to_string(i)), 1000)));
     // Wait until checkpoint files actually exist, then abort mid-run.
     for (int spin = 0; spin < 2000 && countCheckpointFiles(dir.path) == 0;
          ++spin)

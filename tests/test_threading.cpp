@@ -1,5 +1,6 @@
 // The host-thread executor (run_slabs over a TeamPool): disjoint z-slab
-// writes make any lane count bit-identical to the serial fused kernel.
+// writes make any lane count bit-identical to the serial fused kernel,
+// and each solver rank parks one pool however many backends it drives.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,6 +9,7 @@
 #include <thread>
 
 #include "core/solver.hpp"
+#include "runtime/patches.hpp"
 
 namespace swlb {
 namespace {
@@ -43,7 +45,8 @@ TEST_P(ThreadCountSweep, BitIdenticalToSerialKernel) {
 INSTANTIATE_TEST_SUITE_P(Threads, ThreadCountSweep,
                          ::testing::Values(0, 2, 3, 4, 16),
                          [](const ::testing::TestParamInfo<int>& info) {
-                           return "t" + std::to_string(info.param);
+                           return std::string("t").append(
+                               std::to_string(info.param));
                          });
 
 /// One fused-backend update of `range` with `threads` host lanes.
@@ -58,6 +61,8 @@ void fusedStep(const PopulationField& src, PopulationField& dst,
   args.cfg = &cfg;
   args.range = range;
   args.threads = threads;
+  TeamPool pool;
+  args.pool = &pool;
   make_backend<D3Q19, Real>("fused")->step(args);
 }
 
@@ -84,7 +89,31 @@ TEST(Threading, OneLaneStartsNoPoolWorker) {
     solver.run(2);
     EXPECT_EQ(processThreads(), before + lanes - 1) << lanes << " lanes";
   }
-  EXPECT_EQ(processThreads(), before);  // workers joined with the backend
+  EXPECT_EQ(processThreads(), before);  // workers joined with the solver
+}
+
+TEST(Threading, PatchRankParksOnePool) {
+  // The patch backends of a rank share the rank's pool: sixteen patches
+  // at four lanes park three workers, not sixteen times three.
+  std::thread([] {}).join();  // sanitizer helper thread, as above
+  runtime::World world(1);
+  world.run([](runtime::Comm& c) {
+    const long before = processThreads();
+    for (int lanes : {1, 4}) {
+      typename runtime::PatchSolver<D3Q19>::Config cfg;
+      cfg.global = {16, 16, 8};
+      cfg.patchGrid = {4, 4, 1};
+      cfg.periodic = Periodicity{true, true, true};
+      cfg.hostThreads = lanes;
+      runtime::PatchSolver<D3Q19> solver(c, cfg);
+      solver.finalizeMask();
+      solver.initUniform(1.0, {0.01, 0, 0});
+      solver.run(2);
+      ASSERT_EQ(solver.ownedPatches().size(), 16u);
+      EXPECT_EQ(processThreads(), before + lanes - 1) << lanes << " lanes";
+    }
+    EXPECT_EQ(processThreads(), before);
+  });
 }
 
 TEST(Threading, MoreThreadsThanSlabsStillCorrect) {
